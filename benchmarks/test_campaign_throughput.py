@@ -19,7 +19,12 @@ import pytest
 
 from repro.apps.base import AppFactory, Application
 from repro.apps.registry import get_factory
-from repro.nvct.campaign import CampaignConfig, _classify, run_campaign
+from repro.nvct.campaign import (
+    CampaignConfig,
+    _classify,
+    run_campaign,
+    sample_campaign,
+)
 from repro.nvct.parallel import classify_snapshots
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import CountingRuntime, Runtime
@@ -29,42 +34,33 @@ N_TESTS = 16
 
 
 @pytest.fixture(scope="module")
-def snapshots():
+def prepared():
     """One instrumented execution providing every snapshot to classify."""
-    factory = get_factory(APP)
-    golden, _ = factory.golden()
-    counting = CountingRuntime()
-    factory.make(runtime=counting).run()
-    points = np.linspace(
-        (counting.window_begin or 0) + 1, counting.counter, N_TESTS, dtype=np.int64
-    )
-    cfg = CampaignConfig(plan=PersistencePlan.none())
-    rt = Runtime(plan=cfg.plan, crash_points=points)
-    factory.make(runtime=rt).run()
-    return factory, rt.snapshots, golden.iterations, cfg
+    cfg = CampaignConfig(n_tests=N_TESTS, plan=PersistencePlan.none())
+    prep = sample_campaign(get_factory(APP), cfg, golden=False).materialize()
+    return prep, list(range(prep.n_snaps))
 
 
-def test_serial_classification_throughput(benchmark, snapshots):
-    factory, snaps, golden_iterations, cfg = snapshots
-
-    def run():
-        return [_classify(factory, s, golden_iterations, cfg) for s in snaps]
-
-    records = benchmark.pedantic(run, rounds=3)
-    assert len(records) == N_TESTS
+def _serial(prep, indices):
+    return [
+        _classify(prep.factory, s, prep.golden_iterations, prep.cfg)
+        for s in prep.snapshots(indices)
+    ]
 
 
-def test_parallel_classification_throughput(benchmark, snapshots):
-    factory, snaps, golden_iterations, cfg = snapshots
+def test_serial_classification_throughput(benchmark, prepared):
+    prep, indices = prepared
+    records = benchmark.pedantic(lambda: _serial(prep, indices), rounds=3)
+    assert len(records) == len(indices)
+
+
+def test_parallel_classification_throughput(benchmark, prepared):
+    prep, indices = prepared
     jobs = max(2, min(4, os.cpu_count() or 1))
-
-    def run():
-        return classify_snapshots(
-            factory, snaps, golden_iterations, cfg, jobs=jobs
-        )
-
-    records = benchmark.pedantic(run, rounds=3)
-    assert len(records) == N_TESTS
+    records = benchmark.pedantic(
+        lambda: classify_snapshots(prep, indices, jobs=jobs), rounds=3
+    )
+    assert len(records) == len(indices)
 
 
 def test_campaign_end_to_end_throughput(benchmark):
@@ -192,15 +188,15 @@ def test_golden_snapshot_speedup(stream_setup):
     (os.cpu_count() or 1) < 4,
     reason="speedup assertion needs >= 4 CPUs to be physically meaningful",
 )
-def test_parallel_classification_speedup(snapshots):
-    factory, snaps, golden_iterations, cfg = snapshots
+def test_parallel_classification_speedup(prepared):
+    prep, indices = prepared
 
     t0 = time.perf_counter()
-    serial = [_classify(factory, s, golden_iterations, cfg) for s in snaps]
+    serial = _serial(prep, indices)
     t_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = classify_snapshots(factory, snaps, golden_iterations, cfg, jobs=4)
+    parallel = classify_snapshots(prep, indices, jobs=4)
     t_parallel = time.perf_counter() - t0
 
     assert serial == parallel  # the speedup is free: results are bit-identical

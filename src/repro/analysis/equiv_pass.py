@@ -42,8 +42,7 @@ from repro.errors import UsageError
 if TYPE_CHECKING:
     from repro.apps.base import AppFactory
     from repro.harness.cache import ArtifactCache
-    from repro.memsim.golden import GoldenStore
-    from repro.nvct.campaign import CampaignConfig
+    from repro.nvct.campaign import CampaignConfig, PreparedCampaign
 
 __all__ = [
     "CRASH_PLAN_VERSION",
@@ -252,19 +251,13 @@ class CrashPlan:
         )
 
 
-def plan_from_store(
-    factory: "AppFactory",
-    cfg: "CampaignConfig",
-    window: tuple[int, int],
-    points: "list[int]",
-    weights: "list[int]",
-    store: "GoldenStore",
-    tail: int = DEFAULT_TAIL,
-) -> CrashPlan:
-    """Partition an already-recorded golden store into a crash plan."""
+def plan_from_store(prep: "PreparedCampaign", tail: int = DEFAULT_TAIL) -> CrashPlan:
+    """Partition a materialized campaign's golden store into a crash plan."""
     from repro.util.rng import derive_rng
 
-    class_ids = partition_signatures(store.image_signatures())
+    assert prep.store is not None
+    factory, cfg = prep.factory, prep.cfg
+    class_ids = partition_signatures(prep.store.image_signatures())
     n_classes = (max(class_ids) + 1) if class_ids else 0
     members: list[list[int]] = [[] for _ in range(n_classes)]
     for i, c in enumerate(class_ids):
@@ -286,9 +279,9 @@ def plan_from_store(
         seed=cfg.seed,
         n_tests=cfg.n_tests,
         distribution=cfg.distribution,
-        window=window,
-        points=[int(p) for p in points],
-        weights=[int(w) for w in weights],
+        window=prep.window,
+        points=[int(p) for p in prep.points],
+        weights=[int(w) for w in prep.weights],
         class_ids=class_ids,
         reps=reps,
         tails=tails,
@@ -303,21 +296,14 @@ def build_crash_plan(
 ) -> CrashPlan:
     """Compute a pruned crash plan for one campaign.
 
-    Runs the profile pass and one golden recording execution (the same
-    work the campaign's snapshot phase does — no restarts), replays the
-    delta log into per-point signatures, and partitions.  With ``cache``
-    (or ``REPRO_CACHE_DIR`` via :meth:`ArtifactCache.from_env`), the plan
-    is content-addressed by :func:`crash_plan_key` and the delta replay
-    is skipped entirely on a warm hit.
+    Prepares the campaign exactly as ``run_campaign`` does — golden,
+    profile and one golden recording execution, no restarts — replays
+    the delta log into per-point signatures, and partitions.  With
+    ``cache`` (or ``REPRO_CACHE_DIR`` via :meth:`ArtifactCache.from_env`),
+    the plan is content-addressed by :func:`crash_plan_key` and the whole
+    preparation is skipped on a warm hit.
     """
-    import numpy as np
-
-    from repro.nvct.campaign import (
-        CountingRuntime,
-        _dedupe_crash_points,
-        _instrumented_run,
-        _sample_crash_points,
-    )
+    from repro.nvct.campaign import sample_campaign
 
     if cfg.n_cores > 1 or cfg.verified_mode:
         raise UsageError(
@@ -330,22 +316,10 @@ def build_crash_plan(
         if cached is not None and len(cached.executed_indices()) and cached_tail_ok(cached, tail):
             return cached
 
-    counting = CountingRuntime()
-    factory.make(runtime=counting).run()
-    window = (counting.window_begin or 0, counting.counter)
-    sampled = _sample_crash_points(
-        window, cfg.n_tests, cfg.seed, factory.name, cfg.distribution
-    )
-    points, weights = _dedupe_crash_points(sampled)
-    rt, _ = _instrumented_run(factory, cfg, points, golden=True)
-    store = rt.golden_store()
-    if store is None or store.n_images != points.size:
+    prep = sample_campaign(factory, cfg).materialize()
+    if prep.store is None:
         raise RuntimeError(f"{factory.name}: golden recording lost crash points")
-    plan = plan_from_store(
-        factory, cfg, window,
-        [int(p) for p in points], [int(w) for w in np.asarray(weights)],
-        store, tail=tail,
-    )
+    plan = plan_from_store(prep, tail=tail)
     if cache is not None:
         cache.put_crash_plan(key, plan)
     return plan

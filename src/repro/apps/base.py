@@ -197,8 +197,3 @@ class AppFactory:
         app.golden = metrics
         app.setup()
         return app
-
-    def with_params(self, **overrides: object) -> "AppFactory":
-        params = dict(self.params)
-        params.update(overrides)
-        return AppFactory(self.app_cls, **params)

@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the golden-pass batched snapshot engine and take "
         "full per-crash-point snapshots instead (the bit-identical legacy "
-        "oracle; also REPRO_GOLDEN=0)",
+        "oracle)",
     )
     c.add_argument(
         "--crash-plan",
@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dump bench.json metric files as tables, or with "
         "--diff compare CURRENT against BASELINE: rate metrics (unit */s) "
         "are calibration-normalized and gate the exit code (1 when any "
-        "drops more than --threshold below the baseline).",
+        "drops more than --threshold below the baseline, 2 when the files "
+        "share no gated metric).",
     )
     st.add_argument("files", nargs="+", metavar="FILE", help="bench.json file(s)")
     st.add_argument(
@@ -602,7 +603,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 journal=getattr(args, "resume", None),
                 retry=retry,
                 trial_timeout=getattr(args, "trial_timeout", None),
-                golden=False if getattr(args, "no_golden", False) else None,
+                golden=not getattr(args, "no_golden", False),
                 plan=crash_plan,
             )
             if crash_plan and result.executed_trials is not None:
@@ -654,7 +655,7 @@ def _cluster_campaign(args, factory, cfg, retry, crash_plan) -> int:
         journal=getattr(args, "resume", None),
         retry=retry,
         trial_timeout=getattr(args, "trial_timeout", None),
-        golden=False if getattr(args, "no_golden", False) else None,
+        golden=not getattr(args, "no_golden", False),
     )
     _print_cluster_result(result, args)
     return 0
@@ -678,7 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.analysis.equiv_pass import CrashPlan
 
         crash_plan = CrashPlan.load(args.crash_plan)
-    golden = False if args.no_golden else None
+    golden = not args.no_golden
     scheduler = CampaignScheduler(
         factory,
         cfg,
@@ -758,7 +759,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             current, baseline = (obs_export.load_bench(f) for f in args.files)
             diff = obs_export.diff_bench(current, baseline, threshold=args.threshold)
             print(obs_export.render_diff(diff))
-            return 0 if diff.ok else 1
+            return diff.exit_code
         for path in args.files:
             print(obs_export.render_bench(obs_export.load_bench(path)))
     except SnapshotCorruptError:

@@ -53,6 +53,7 @@ __all__ = [
     "Burst",
     "burst_schedule",
     "trials_per_node",
+    "shard_cut",
     "NodeLease",
     "ClusterResult",
     "ClusterEmulator",
@@ -128,6 +129,28 @@ def trials_per_node(bursts: Sequence[Burst], nodes: int) -> list[int]:
         for node in burst.nodes:
             counts[node] += 1
     return counts
+
+
+def shard_cut(cfg: "CampaignConfig") -> tuple[ClusterTopology, list[Burst], list["CampaignConfig"]]:
+    """Cut a campaign into per-node shard configs.
+
+    Returns the topology, its burst schedule and one config per node the
+    schedule crashes, in node order: node ``n`` runs as many trials as
+    the bursts crash it.  The cluster emulator and the service scheduler both cut
+    through here, so their journal headers and sampling keys match shard
+    for shard; a one-node campaign is its own single shard.
+    """
+    try:
+        topology = ClusterTopology.from_config(cfg)
+    except ValueError as exc:
+        # Same contract as a bad --crash-model spec: a usage error,
+        # not an internal failure (the CLI maps it to exit 2).
+        raise UsageError(str(exc)) from exc
+    bursts = burst_schedule(topology, cfg.n_tests, cfg.seed)
+    counts = trials_per_node(bursts, topology.nodes)
+    return topology, bursts, [
+        replace(cfg, node=node, n_tests=n) for node, n in enumerate(counts) if n > 0
+    ]
 
 
 def _slot_records(result: "CampaignResult") -> list["CrashTestRecord"]:
@@ -255,13 +278,11 @@ class ClusterEmulator:
         cfg: "CampaignConfig",
         *,
         jobs: int | None = None,
-        chunk_timeout: float | None = None,
         journal: "str | Path | None" = None,
         retry: "RetryPolicy | None" = None,
         trial_timeout: float | None = None,
-        golden: bool | None = None,
+        golden: bool = True,
         checkpoint: "MultiLevelCheckpointModel | None" = None,
-        breaker_threshold: int = 3,
     ):
         if cfg.node != 0:
             raise UsageError(
@@ -275,20 +296,13 @@ class ClusterEmulator:
             )
         self.factory = factory
         self.cfg = cfg
-        try:
-            self.topology = ClusterTopology.from_config(cfg)
-        except ValueError as exc:
-            # Same contract as a bad --crash-model spec: a usage error,
-            # not an internal failure (the CLI maps it to exit 2).
-            raise UsageError(str(exc)) from exc
+        self.topology, self.bursts, self.shard_cfgs = shard_cut(cfg)
         self.jobs = jobs
-        self.chunk_timeout = chunk_timeout
         self.journal = journal
         self.retry = retry
         self.trial_timeout = trial_timeout
         self.golden = golden
         self.checkpoint = checkpoint
-        self.breaker_threshold = breaker_threshold
 
     def _lease_policy(self) -> "RetryPolicy":
         from repro.harness.resilience import RetryPolicy
@@ -302,17 +316,12 @@ class ClusterEmulator:
         from repro.memsim.crashmodel import get_model
         from repro.nvct.campaign import run_campaign
 
-        cfg = self.cfg
-        model = get_model(cfg.crash_model)  # validate the spec up front
-        bursts = burst_schedule(self.topology, cfg.n_tests, cfg.seed)
-        counts = trials_per_node(bursts, self.topology.nodes)
+        model = get_model(self.cfg.crash_model)  # validate the spec up front
         policy = self._lease_policy()
-        breaker = CircuitBreaker(threshold=self.breaker_threshold)
+        breaker = CircuitBreaker()
         node_results: dict[int, "CampaignResult"] = {}
-        for node, n_trials in enumerate(counts):
-            if n_trials == 0:
-                continue  # the schedule never crashed this node
-            node_cfg = replace(cfg, node=node, n_tests=n_trials)
+        for node_cfg in self.shard_cfgs:
+            node = node_cfg.node
             journal = (
                 node_journal_path(self.journal, node)
                 if self.journal is not None
@@ -324,7 +333,6 @@ class ClusterEmulator:
                     self.factory,
                     node_cfg,
                     jobs=self.jobs,
-                    chunk_timeout=self.chunk_timeout,
                     journal=journal,
                     retry=self.retry,
                     trial_timeout=self.trial_timeout,
@@ -336,13 +344,13 @@ class ClusterEmulator:
             nodes=self.topology.nodes, checkpoint=self.checkpoint
         )
         log = orchestrator.orchestrate(
-            bursts, {n: _slot_records(r) for n, r in node_results.items()}
+            self.bursts, {n: _slot_records(r) for n, r in node_results.items()}
         )
         return ClusterResult(
             app=self.factory.name,
             topology=self.topology,
             crash_model=model.spec,
-            bursts=bursts,
+            bursts=self.bursts,
             node_results=node_results,
             log=log,
         )
@@ -353,11 +361,10 @@ def run_cluster_campaign(
     cfg: "CampaignConfig",
     *,
     jobs: int | None = None,
-    chunk_timeout: float | None = None,
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    golden: bool | None = None,
+    golden: bool = True,
     checkpoint: "MultiLevelCheckpointModel | None" = None,
 ) -> ClusterResult:
     """Run one multi-node crash campaign (see :class:`ClusterEmulator`)."""
@@ -365,7 +372,6 @@ def run_cluster_campaign(
         factory,
         cfg,
         jobs=jobs,
-        chunk_timeout=chunk_timeout,
         journal=journal,
         retry=retry,
         trial_timeout=trial_timeout,

@@ -50,30 +50,12 @@ class AllocationError(ReproError):
     """Raised when the persistent heap cannot satisfy an allocation."""
 
 
-class CrashInjected(ReproError):
-    """Raised inside an instrumented run when an injected crash fires.
-
-    This is the simulated analogue of the machine halting: the exception
-    unwinds the application's main loop, and the campaign driver captures
-    the NVM image that remains.
-    """
-
-
 class RestartInterrupted(ReproError):
     """Raised when a restarted application cannot run to completion.
 
     Corresponds to the paper's response class S3 ("Interruption", e.g. a
     segfault caused by restarting from inconsistent data).
     """
-
-
-class VerificationError(ReproError):
-    """Raised when an application's acceptance verification fails."""
-
-
-class PlanInfeasible(ReproError):
-    """Raised when no code-region selection satisfies both the runtime
-    overhead bound ``ts`` and the recomputability threshold ``tau``."""
 
 
 class SnapshotCorruptError(ReproError, ValueError):

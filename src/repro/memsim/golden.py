@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (nvct depends on memsim)
     from repro.nvct.heap import DataObject, PersistentHeap
     from repro.nvct.runtime import Snapshot
 
-__all__ = ["GoldenRecorder", "GoldenStore", "GoldenSnapshotSource"]
+__all__ = ["GoldenRecorder", "GoldenStore"]
 
 _ARANGE_B = np.arange(BLOCK_SIZE, dtype=np.int64)
 
@@ -441,33 +441,3 @@ class GoldenStore:
                 if copied:
                     reg.counter("golden.bytes_copied", unit="bytes").inc(copied)
                 reg.counter("golden.replay_ms", unit="ms").inc(spent * 1000.0)
-
-
-class GoldenSnapshotSource:
-    """Adapter feeding a :class:`GoldenStore` to the parallel engine.
-
-    Exposes the ``len`` / ``get(lo, hi)`` snapshot-source protocol of
-    :mod:`repro.nvct.parallel` over an index subset.  Sequential ranges
-    advance one shared replay generator; an out-of-order request (the
-    serial-fallback path re-reading an already-packed chunk) restarts a
-    fresh replay from the base images, so every range is pristine no
-    matter what happened to previously shipped payloads."""
-
-    def __init__(self, store: GoldenStore, indices: Iterable[int]) -> None:
-        self._store = store
-        self._indices = [int(i) for i in indices]
-        self._gen: Iterator["Snapshot"] | None = None
-        self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def get(self, lo: int, hi: int) -> list["Snapshot"]:
-        if hi <= lo:
-            return []
-        if self._gen is None or lo != self._pos:
-            self._gen = self._store.snapshots(self._indices[lo:], copy=True)
-            self._pos = lo
-        out = [next(self._gen) for _ in range(hi - lo)]
-        self._pos = hi
-        return out

@@ -23,19 +23,23 @@ By default the snapshots themselves come from the *golden pass*
 write-back deltas per crash-point segment, and all N crash images are
 reconstructed afterwards by vectorized delta replay — ``O(heap +
 writeback_traffic)`` instead of the legacy ``O(N x heap)`` copy-and-diff
-per point.  The legacy path (``REPRO_GOLDEN=0`` / ``--no-golden`` /
+per point.  The legacy path (``--no-golden`` /
 ``run_campaign(..., golden=False)``) is retained as the bit-identical
 oracle and still serves verified-mode and multi-core campaigns.
+
+Every engine — inline :func:`run_campaign`, the process pool, the
+orchestration service and crash-plan emission — prepares a campaign
+through one stage: :func:`sample_campaign` (golden run, profile pass,
+crash-point sampling, the snapshot-engine decision) and
+:meth:`PreparedCampaign.materialize` (the one instrumented run).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +53,10 @@ from repro.util.rng import derive_rng
 if TYPE_CHECKING:  # avoid a circular import (apps depend on nvct)
     from pathlib import Path
 
+    from repro.analysis.equiv_pass import CrashPlan
     from repro.apps.base import AppFactory
     from repro.harness.resilience import RetryPolicy
+    from repro.memsim.golden import GoldenStore
 
 __all__ = [
     "Response",
@@ -58,6 +64,8 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "campaign_points",
+    "PreparedCampaign",
+    "sample_campaign",
     "run_campaign",
     "measure_run",
 ]
@@ -328,16 +336,6 @@ def _dedupe_crash_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(pts, return_counts=True)
 
 
-def _golden_default() -> bool:
-    """Golden-pass batching is on unless ``REPRO_GOLDEN`` disables it."""
-    return os.environ.get("REPRO_GOLDEN", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
 def _classify(
     factory: AppFactory,
     snap: Snapshot,
@@ -522,16 +520,16 @@ def _broadcast_plan_records(
 
 def campaign_points(
     factory: AppFactory, cfg: CampaignConfig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     """Profile one application and sample its campaign's crash points.
 
-    Returns ``(points, weights)``: the sorted deduplicated crash counters
-    the instrumented run will snapshot, and the multiplicity each point
-    carries (:attr:`CrashTestRecord.weight`).  This is *the* sampling
-    function — :func:`run_campaign`, the orchestration service's
-    scheduler, and its stateless workers all call it, which is what lets
-    a worker re-derive a chunk's snapshots from nothing but the campaign
-    config and still produce records bit-identical to a serial run.
+    Returns ``(points, weights, window)``: the sorted deduplicated crash
+    counters the instrumented run will snapshot, the multiplicity each
+    point carries (:attr:`CrashTestRecord.weight`), and the main-loop
+    crash window they were drawn from.  Sampling is a pure function of
+    the config, which is what lets a stateless service worker re-derive a
+    chunk's snapshots and still produce records bit-identical to a
+    serial run.
     """
     reg = registry()
     tracer = reg.tracer if reg is not None else None
@@ -549,7 +547,160 @@ def campaign_points(
     points = _sample_crash_points(
         window, cfg.n_tests, cfg.seed, sample_key, cfg.distribution
     )
-    return _dedupe_crash_points(points)
+    return (*_dedupe_crash_points(points), window)
+
+
+@dataclass
+class PreparedCampaign:
+    """One campaign carried through the shared preparation stage.
+
+    :func:`sample_campaign` fills in everything up to the crash points;
+    :meth:`materialize` adds the instrumented run and its snapshot store.
+    ``executed`` lists the trial indices the campaign classifies — all of
+    them, or a pruned crash plan's representatives and purity tails.
+    """
+
+    factory: AppFactory
+    cfg: CampaignConfig
+    crash_model: str
+    golden_iterations: int
+    points: np.ndarray
+    weights: np.ndarray
+    window: tuple[int, int]
+    use_golden: bool
+    executed: list[int]
+    crash_plan: CrashPlan | None = None
+    runtime: Runtime | None = None
+    iterations: int = 0
+    store: GoldenStore | None = None
+
+    @property
+    def n_snaps(self) -> int:
+        return int(self.points.size)
+
+    def materialize(self) -> PreparedCampaign:
+        """Run the instrumented execution that snapshots every crash point.
+
+        Checks that it produced one snapshot per crash point and, under a
+        crash plan, that the recorded write-back partition still matches
+        the plan's equivalence classes.
+        """
+        reg = registry()
+        with maybe_span(reg.tracer if reg else None, "instrumented_run", app=self.factory.name):
+            self.runtime, self.iterations = _instrumented_run(
+                self.factory, self.cfg, self.points, golden=self.use_golden
+            )
+        self.store = self.runtime.golden_store() if self.use_golden else None
+        n_snaps = self.store.n_images if self.store is not None else len(self.runtime.snapshots)
+        if n_snaps != self.n_snaps:
+            raise RuntimeError(
+                f"{self.factory.name}: {self.n_snaps} crash points but {n_snaps} snapshots"
+            )
+        if self.crash_plan is not None:
+            from repro.analysis.equiv_pass import partition_signatures
+
+            assert self.store is not None
+            if partition_signatures(self.store.image_signatures()) != self.crash_plan.class_ids:
+                raise RuntimeError(
+                    "crash plan is stale: the recorded write-back partition "
+                    "differs from the plan's equivalence classes — re-emit "
+                    "with `repro analyze --emit-plan`"
+                )
+        return self
+
+    def snapshots(self, indices: Sequence[int], copy: bool = False) -> Iterator[Snapshot]:
+        """The crash snapshots at the strictly ascending ``indices``.
+
+        Golden-pass snapshots are replayed from the store: borrowed
+        read-only views valid until the next one, or stable copies with
+        ``copy=True``.  Legacy snapshots are the runtime's own copies.
+        """
+        if self.store is not None:
+            return self.store.snapshots(indices, copy=copy)
+        assert self.runtime is not None, "materialize() the campaign first"
+        return (self.runtime.snapshots[i] for i in indices)
+
+    def classify(
+        self, indices: Sequence[int], trial_timeout: float | None = None
+    ) -> Iterator[tuple[int, CrashTestRecord]]:
+        """Restart and classify the trials at ``indices`` in this process,
+        yielding ``(index, record)`` as each one finishes."""
+        for i, snap in zip(indices, self.snapshots(indices)):
+            yield i, _classify_trial(
+                self.factory, snap, self.golden_iterations, self.cfg, trial_timeout
+            )
+
+
+def sample_campaign(
+    factory: AppFactory,
+    cfg: CampaignConfig,
+    *,
+    golden: bool = True,
+    plan: "CrashPlan | str | Path | None" = None,
+) -> PreparedCampaign:
+    """The sampling step of campaign preparation.
+
+    Validates the crash model and the crash plan, runs the golden and
+    profile passes, samples the crash points, refuses a stale plan,
+    chooses the snapshot engine and lists the executed trial indices.
+    The golden-pass engine is used when ``golden`` is set (the default)
+    on a single-core, non-verified campaign, and always under a crash
+    plan.  No instrumented run happens here:
+    :meth:`PreparedCampaign.materialize` is the second step.
+    """
+    from repro.errors import UsageError
+    from repro.memsim.crashmodel import get_model
+
+    crash_plan = None
+    if plan is not None:
+        from repro.analysis.equiv_pass import CrashPlan
+
+        crash_plan = plan if isinstance(plan, CrashPlan) else CrashPlan.load(plan)
+        crash_plan.validate_for(factory, cfg)
+        if cfg.n_cores > 1 or cfg.verified_mode or not golden:
+            raise UsageError(
+                "a pruned crash plan requires the golden-pass engine: "
+                "single-core, non-verified, and not --no-golden"
+            )
+    crash_model = get_model(cfg.crash_model)
+    if not crash_model.is_default and (cfg.n_cores > 1 or cfg.verified_mode):
+        raise UsageError(
+            f"crash model {crash_model.spec!r} requires a single-core, "
+            "non-verified campaign (whole-cache-loss is the only model the "
+            "multi-core and verified paths support)"
+        )
+    reg = registry()
+    with maybe_span(reg.tracer if reg else None, "golden", app=factory.name):
+        golden_result, _ = factory.golden()
+    points, weights, window = campaign_points(factory, cfg)
+    if crash_plan is not None and (
+        crash_plan.points != [int(p) for p in points]
+        or crash_plan.weights != [int(w) for w in weights]
+    ):
+        raise UsageError(
+            "crash plan's sampled points disagree with this campaign's "
+            "sampling — the plan is stale; re-emit with "
+            "`repro analyze --emit-plan`"
+        )
+    use_golden = crash_plan is not None or (
+        golden and cfg.n_cores == 1 and not cfg.verified_mode and points.size > 0
+    )
+    return PreparedCampaign(
+        factory=factory,
+        cfg=cfg,
+        crash_model=crash_model.spec,
+        golden_iterations=golden_result.iterations,
+        points=points,
+        weights=weights,
+        window=window,
+        use_golden=use_golden,
+        executed=(
+            crash_plan.executed_indices()
+            if crash_plan is not None
+            else list(range(points.size))
+        ),
+        crash_plan=crash_plan,
+    )
 
 
 def run_campaign(
@@ -560,8 +711,8 @@ def run_campaign(
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    golden: bool | None = None,
-    plan: "object | str | Path | None" = None,
+    golden: bool = True,
+    plan: "CrashPlan | str | Path | None" = None,
     _shard: bool = False,
 ) -> CampaignResult:
     """Run a full crash-test campaign for one application and plan.
@@ -583,12 +734,12 @@ def run_campaign(
     ``golden`` selects the golden-pass batched snapshot engine
     (:mod:`repro.memsim.golden`): the instrumented run records write-back
     deltas and all N crash images are reconstructed by vectorized replay
-    instead of N full heap copies + diffs.  Default: on, unless
-    ``REPRO_GOLDEN=0`` (the CLI's ``--no-golden``) selects the legacy
-    serial snapshot path — retained as the bit-identical oracle.  It is
-    an execution strategy, not a campaign parameter: results, journal
-    headers and artifact-cache content keys are unchanged either way.
-    Verified mode and multi-core simulation always use the legacy path.
+    instead of N full heap copies + diffs.  ``golden=False`` (the CLI's
+    ``--no-golden``) selects the legacy serial snapshot path — retained
+    as the bit-identical oracle.  It is an execution strategy, not a
+    campaign parameter: results, journal headers and artifact-cache
+    content keys are unchanged either way.  Verified mode and multi-core
+    simulation always use the legacy path.
 
     ``plan`` is a pruned crash plan (a :class:`repro.analysis.equiv_pass.
     CrashPlan` or a path to one emitted by ``repro analyze --emit-plan``):
@@ -609,78 +760,13 @@ def run_campaign(
             "repro.cluster.run_cluster_campaign (CLI: `repro campaign "
             "--nodes`), which shards the campaign and orchestrates recovery"
         )
-    crash_plan = None
-    if plan is not None:
-        from repro.analysis.equiv_pass import CrashPlan
+    from repro.nvct.parallel import DEFAULT_CHUNK_TIMEOUT, classify_snapshots
 
-        crash_plan = plan if isinstance(plan, CrashPlan) else CrashPlan.load(plan)
-        crash_plan.validate_for(factory, cfg)
-        if cfg.n_cores > 1 or cfg.verified_mode or golden is False:
-            from repro.errors import UsageError
-
-            raise UsageError(
-                "a pruned crash plan requires the golden-pass engine: "
-                "single-core, non-verified, and not --no-golden"
-            )
-    from repro.memsim.crashmodel import get_model
-
-    crash_model = get_model(cfg.crash_model)
-    if not crash_model.is_default and (cfg.n_cores > 1 or cfg.verified_mode):
-        from repro.errors import UsageError
-
-        raise UsageError(
-            f"crash model {crash_model.spec!r} requires a single-core, "
-            "non-verified campaign (whole-cache-loss is the only model the "
-            "multi-core and verified paths support)"
-        )
     reg = registry()
     tracer = reg.tracer if reg is not None else None
     with maybe_span(tracer, "campaign", app=factory.name, tests=cfg.n_tests):
-        with maybe_span(tracer, "golden", app=factory.name):
-            golden_result, _ = factory.golden()
-
-        # Profile pass: total access count and the main-loop crash window,
-        # then sample + dedupe the crash points (shared with the
-        # orchestration service, which re-derives the same points).
-        points, weights = campaign_points(factory, cfg)
-        if crash_plan is not None and (
-            crash_plan.points != [int(p) for p in points]
-            or crash_plan.weights != [int(w) for w in weights]
-        ):
-            from repro.errors import UsageError
-
-            raise UsageError(
-                "crash plan's sampled points disagree with this campaign's "
-                "sampling — the plan is stale; re-emit with "
-                "`repro analyze --emit-plan`"
-            )
-        use_golden = crash_plan is not None or (
-            (golden if golden is not None else _golden_default())
-            and cfg.n_cores == 1
-            and not cfg.verified_mode
-            and points.size > 0
-        )
-        with maybe_span(tracer, "instrumented_run", app=factory.name):
-            rt, iterations = _instrumented_run(factory, cfg, points, golden=use_golden)
-        store = rt.golden_store() if use_golden else None
-        n_snaps = store.n_images if store is not None else len(rt.snapshots)
-        if n_snaps != points.size:
-            raise RuntimeError(
-                f"{factory.name}: {points.size} crash points but {n_snaps} snapshots"
-            )
-        if crash_plan is not None:
-            from repro.analysis.equiv_pass import partition_signatures
-
-            assert store is not None
-            if partition_signatures(store.image_signatures()) != crash_plan.class_ids:
-                raise RuntimeError(
-                    "crash plan is stale: the recorded write-back partition "
-                    "differs from the plan's equivalence classes — re-emit "
-                    "with `repro analyze --emit-plan`"
-                )
-
-        from repro.nvct.parallel import DEFAULT_CHUNK_TIMEOUT, classify_snapshots, resolve_jobs
-
+        prep = sample_campaign(factory, cfg, golden=golden, plan=plan).materialize()
+        n_snaps = prep.n_snaps
         journal_obj = None
         completed: dict[int, CrashTestRecord] = {}
         if journal is not None:
@@ -690,74 +776,40 @@ def run_campaign(
                 journal, campaign_header(factory, cfg)
             )
 
-        n_jobs = resolve_jobs(jobs)
         records: list[CrashTestRecord | None] = [None] * n_snaps
         for i, rec in completed.items():
             if 0 <= i < n_snaps:
                 records[i] = rec
-        to_run = (
-            crash_plan.executed_indices()
-            if crash_plan is not None
-            else range(n_snaps)
-        )
-        missing = [i for i in to_run if records[i] is None]
+        missing = [i for i in prep.executed if records[i] is None]
         try:
             with maybe_span(
                 tracer, "classify", app=factory.name, tests=n_snaps,
                 replayed=n_snaps - len(missing),
             ):
-                if n_jobs > 1 and len(missing) > 1:
-
-                    def _sink(local: int, rec: CrashTestRecord) -> None:
-                        if journal_obj is not None:
-                            journal_obj.append(missing[local], rec)
-
-                    if store is not None:
-                        from repro.memsim.golden import GoldenSnapshotSource
-
-                        batch: "object" = GoldenSnapshotSource(store, missing)
-                    else:
-                        batch = [rt.snapshots[i] for i in missing]
-                    fanned = classify_snapshots(
-                        factory,
-                        batch,
-                        golden_result.iterations,
-                        cfg,
-                        jobs=n_jobs,
-                        chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT,
-                        retry=retry,
-                        record_sink=_sink if journal_obj is not None else None,
-                    )
-                    for i, rec in zip(missing, fanned):
-                        records[i] = rec
-                else:
-                    # In-process streaming: golden snapshots are *borrowed*
-                    # zero-copy views, consumed one trial at a time.
-                    snaps = (
-                        store.snapshots(missing)
-                        if store is not None
-                        else (rt.snapshots[i] for i in missing)
-                    )
-                    for i, snap in zip(missing, snaps):
-                        rec = _classify_trial(
-                            factory, snap, golden_result.iterations,
-                            cfg, trial_timeout,
-                        )
-                        records[i] = rec
-                        if journal_obj is not None:
-                            journal_obj.append(i, rec)
+                fanned = classify_snapshots(
+                    prep,
+                    missing,
+                    jobs=jobs,
+                    chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT,
+                    retry=retry,
+                    trial_timeout=trial_timeout,
+                    record_sink=journal_obj.append if journal_obj is not None else None,
+                )
+                for i, rec in zip(missing, fanned):
+                    records[i] = rec
         finally:
             if journal_obj is not None:
                 journal_obj.close()
-        if crash_plan is not None:
-            _broadcast_plan_records(crash_plan, records, store)
+        if prep.crash_plan is not None:
+            _broadcast_plan_records(prep.crash_plan, records, prep.store)
         assert all(r is not None for r in records)
         # Weights derive deterministically from the seed, so re-applying
         # them on a journal resume reproduces the uninterrupted result.
-        for rec, w in zip(records, weights):
+        for rec, w in zip(records, prep.weights):
             rec.weight = int(w)  # type: ignore[union-attr]
+        assert prep.runtime is not None
         if reg is not None:
-            rt.publish_metrics(reg)
+            prep.runtime.publish_metrics(reg)
             reg.counter("campaign.runs", unit="campaigns").inc()
             reg.counter("campaign.tests", unit="tests").inc(len(records))
             for rec in records:  # type: ignore[assignment]
@@ -768,8 +820,8 @@ def run_campaign(
         app=factory.name,
         plan=cfg.plan,
         records=records,  # type: ignore[arg-type]
-        run_stats=_run_stats(rt, iterations),
-        golden_iterations=golden_result.iterations,
-        executed_trials=len(list(to_run)),
-        crash_model=crash_model.spec,
+        run_stats=_run_stats(prep.runtime, prep.iterations),
+        golden_iterations=prep.golden_iterations,
+        executed_trials=len(prep.executed),
+        crash_model=prep.crash_model,
     )

@@ -7,11 +7,11 @@ restarts a fresh plain-mode application from one snapshot and never
 touches shared state.  This module exploits that shape at two levels:
 
 * :func:`classify_snapshots` — fan the classification phase of one
-  campaign out over ``jobs`` worker processes.  Snapshots are shipped as
-  packed payloads (:mod:`repro.nvct.serialize`) in deterministic,
-  crash-point-ordered chunks and the per-chunk records are merged back in
-  chunk order, so a parallel campaign is *bit-identical* to a serial one
-  under the same seed.
+  prepared campaign out over ``jobs`` worker processes.  Snapshots are
+  shipped as packed payloads (:mod:`repro.nvct.serialize`) in
+  deterministic, crash-point-ordered chunks and the per-chunk records are
+  merged back in chunk order, so a parallel campaign is *bit-identical*
+  to a serial one under the same seed.
 * :func:`run_campaigns` — an application-level parallel map running whole
   independent ``(factory, config)`` campaigns in separate workers (the 11
   benchmark workloads of a harness session are independent).
@@ -29,9 +29,11 @@ optimization and never changes results or raises new errors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
+import signal
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.obs import registry
@@ -39,8 +41,6 @@ from repro.obs import registry
 __all__ = [
     "resolve_jobs",
     "chunk_indices",
-    "SnapshotSource",
-    "as_snapshot_source",
     "classify_snapshots",
     "run_campaigns",
     "DEFAULT_CHUNK_TIMEOUT",
@@ -49,8 +49,12 @@ __all__ = [
 if TYPE_CHECKING:  # avoid import cycles at runtime
     from repro.apps.base import AppFactory
     from repro.harness.resilience import RetryPolicy
-    from repro.nvct.campaign import CampaignConfig, CampaignResult, CrashTestRecord
-    from repro.nvct.runtime import Snapshot
+    from repro.nvct.campaign import (
+        CampaignConfig,
+        CampaignResult,
+        CrashTestRecord,
+        PreparedCampaign,
+    )
 
 #: Seconds one chunk (or one whole campaign, in :func:`run_campaigns`) may
 #: take before the engine abandons the pool and falls back to serial.
@@ -58,39 +62,6 @@ DEFAULT_CHUNK_TIMEOUT = 600.0
 
 #: Tasks a worker serves before being replaced (bounds leaked memory).
 MAX_TASKS_PER_CHILD = 32
-
-#: Snapshots materialized per batch when the parent classifies serially
-#: from a lazy source (bounds peak memory to a few images).
-_SERIAL_BATCH = 64
-
-
-class SnapshotSource:
-    """List-backed snapshot provider (the snapshot-source protocol).
-
-    The classification engine only ever asks for contiguous ascending
-    ranges via ``get(lo, hi)`` plus ``len()``.  Lazy providers — the
-    golden-pass :class:`~repro.memsim.golden.GoldenSnapshotSource`, which
-    materializes crash images from write-back deltas on demand — implement
-    the same two methods instead of holding N full images in memory.
-    """
-
-    def __init__(self, snapshots: Sequence["Snapshot"]) -> None:
-        self._snaps = list(snapshots)
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-    def get(self, lo: int, hi: int) -> list["Snapshot"]:
-        return self._snaps[lo:hi]
-
-
-def as_snapshot_source(snapshots) -> "SnapshotSource":
-    """Wrap a plain sequence; pass lazy sources (``get``/``len``) through."""
-    if hasattr(snapshots, "get") and hasattr(snapshots, "__len__") and not isinstance(
-        snapshots, (list, tuple)
-    ):
-        return snapshots
-    return SnapshotSource(snapshots)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -133,6 +104,17 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+def _reset_sigterm() -> None:
+    """Pool worker initializer: give SIGTERM back its default action.
+
+    Forked workers inherit the parent's handlers, and the CLI's SIGTERM
+    handler raises ``KeyboardInterrupt``.  ``Pool.terminate`` stops
+    workers with SIGTERM, so an inherited handler makes every worker
+    print a traceback on shutdown, and can hang it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 # -- classification fan-out ---------------------------------------------------
 #
 # Worker state is installed once per worker by the pool initializer; chunk
@@ -143,6 +125,7 @@ _worker_state: dict | None = None
 
 def _classify_worker_init(factory, golden_iterations, cfg) -> None:
     global _worker_state
+    _reset_sigterm()
     _worker_state = {
         "factory": factory,
         "golden_iterations": golden_iterations,
@@ -174,22 +157,22 @@ def _classify_chunk(task: tuple[int, list[dict]]):
 
 
 def classify_snapshots(
-    factory: "AppFactory",
-    snapshots: "Sequence[Snapshot] | SnapshotSource",
-    golden_iterations: int,
-    cfg: "CampaignConfig",
+    prep: "PreparedCampaign",
+    indices: Sequence[int],
     jobs: int | None = None,
     chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT,
     retry: "RetryPolicy | None" = None,
+    trial_timeout: float | None = None,
     record_sink: "Callable[[int, CrashTestRecord], None] | None" = None,
 ) -> list["CrashTestRecord"]:
-    """Classify every snapshot, fanning out over ``jobs`` processes.
+    """Classify the trials ``indices`` of a materialized campaign, fanning
+    out over ``jobs`` processes; records come back in ``indices`` order.
 
-    ``snapshots`` is a plain sequence or any snapshot source
-    (``get``/``len`` protocol, see :class:`SnapshotSource`) — the golden
-    engine passes a lazy source that reconstructs crash images from
-    write-back deltas per requested range, both for chunk payload packing
-    and for the pristine serial fallback.
+    Trials classified in this process — serially (one job, or fewer than
+    two trials) or by the fallback below — read borrowed snapshot views
+    and are bounded by ``trial_timeout``.  In parallel, one pass over
+    :meth:`~repro.nvct.campaign.PreparedCampaign.snapshots` packs every
+    chunk's payload up front.
 
     Bit-identical to the serial ``[_classify(...) for snap in snapshots]``
     under any job count: classification is pure (plain-mode restart, no
@@ -200,38 +183,34 @@ def classify_snapshots(
     :class:`~repro.harness.resilience.CircuitBreaker` trips after
     repeated consecutive failures and degrades the rest of the fan-out to
     serial execution in the parent; any chunk still missing at the end is
-    classified in-process.  Parallelism stays strictly an optimization —
-    it never changes results or raises new errors.
+    classified in-process from snapshots re-read from the campaign, never
+    from its shipped (possibly corrupted) payload.  Parallelism stays
+    strictly an optimization — it never changes results or raises new
+    errors.
 
-    ``record_sink(index, record)`` is invoked for every record as soon as
-    its chunk lands (journaling hook); indices are positions in
-    ``snapshots``.
+    ``record_sink(index, record)`` is invoked with the trial index for
+    every record as soon as it lands (journaling hook).
     """
     import time
 
     from repro.harness.chaos import WORKER_DEATH_TIMEOUT
     from repro.harness.chaos import injector as chaos_injector
     from repro.harness.resilience import CircuitBreaker, RetryPolicy
-    from repro.nvct.campaign import _classify_trial
     from repro.nvct.serialize import pack_snapshot
 
     jobs = resolve_jobs(jobs)
-    source = as_snapshot_source(snapshots)
-    n_snaps = len(source)
+    indices = list(indices)
 
     def classify_serial(lo: int, hi: int) -> list:
         out = []
-        for start in range(lo, hi, _SERIAL_BATCH):
-            stop = min(start + _SERIAL_BATCH, hi)
-            for offset, snap in enumerate(source.get(start, stop)):
-                rec = _classify_trial(factory, snap, golden_iterations, cfg)
-                if record_sink is not None:
-                    record_sink(start + offset, rec)
-                out.append(rec)
+        for i, rec in prep.classify(indices[lo:hi], trial_timeout):
+            if record_sink is not None:
+                record_sink(i, rec)
+            out.append(rec)
         return out
 
-    if jobs <= 1 or n_snaps < 2:
-        return classify_serial(0, n_snaps)
+    if jobs <= 1 or len(indices) < 2:
+        return classify_serial(0, len(indices))
 
     if retry is None:
         retry = RetryPolicy()
@@ -241,10 +220,14 @@ def classify_snapshots(
         # detection latency, so clamp it to keep fault-injection runs fast.
         chunk_timeout = min(chunk_timeout, WORKER_DEATH_TIMEOUT)
 
-    factory.golden()  # warm before fork so workers inherit it
-    chunks = chunk_indices(n_snaps, jobs)
+    chunks = chunk_indices(len(indices), jobs)
+    snaps = prep.snapshots(indices, copy=True)
+    # Take a whole chunk's images before packing any: packing image by
+    # image interleaves the stable copies with the payload buffers, which
+    # fragments the heap the workers fork from and costs them measurable
+    # CPU (MG, 40 tests, jobs=2: about +12% CPU per trial).
     payloads = [
-        (ci, [pack_snapshot(s) for s in source.get(lo, hi)])
+        (ci, [pack_snapshot(s) for s in list(itertools.islice(snaps, hi - lo))])
         for ci, (lo, hi) in enumerate(chunks)
     ]
     done: dict[int, list] = {}
@@ -253,7 +236,7 @@ def classify_snapshots(
         with _pool_context().Pool(
             processes=min(jobs, len(chunks)),
             initializer=_classify_worker_init,
-            initargs=(factory, golden_iterations, cfg),
+            initargs=(prep.factory, prep.golden_iterations, prep.cfg),
             maxtasksperchild=MAX_TASKS_PER_CHILD,
         ) as pool:
             pending = {
@@ -283,7 +266,7 @@ def classify_snapshots(
                     if record_sink is not None:
                         lo, _hi = chunks[index]
                         for offset, rec in enumerate(records):
-                            record_sink(lo + offset, rec)
+                            record_sink(indices[lo + offset], rec)
                     break
     except Exception:
         pass  # pool-level failure: serial recovery below fills the gaps
@@ -347,6 +330,7 @@ def run_campaigns(
     try:
         with _pool_context().Pool(
             processes=min(jobs, len(specs)),
+            initializer=_reset_sigterm,
             maxtasksperchild=MAX_TASKS_PER_CHILD,
         ) as pool:
             pending = [

@@ -262,6 +262,19 @@ class BenchDiff:
     def ok(self) -> bool:
         return not self.regressions
 
+    @property
+    def n_gated(self) -> int:
+        """Gated metrics the two documents have in common."""
+        return sum(1 for row in self.rows if row[4])
+
+    @property
+    def exit_code(self) -> int:
+        """1 on a regression, 2 when nothing was gated (the comparison
+        checked nothing), else 0."""
+        if not self.ok:
+            return 1
+        return 0 if self.n_gated else 2
+
 
 def diff_bench(
     current: Sequence[dict[str, object]],
@@ -331,5 +344,10 @@ def render_diff(diff: BenchDiff) -> str:
         out += f"\n(machine calibration: current is x{diff.calibration_ratio:.3f} of baseline)"
     if diff.missing:
         out += "\n(baseline metrics not measured here: " + ", ".join(diff.missing) + ")"
-    out += "\n" + ("OK" if diff.ok else "REGRESSION:\n  " + "\n  ".join(diff.regressions))
+    if not diff.ok:
+        out += "\nREGRESSION:\n  " + "\n  ".join(diff.regressions)
+    elif not diff.n_gated:
+        out += "\nNOTHING GATED: no gated rate metric in common with the baseline"
+    else:
+        out += f"\nOK ({diff.n_gated} gated)"
     return out

@@ -36,7 +36,7 @@ CRC-sealed like journal lines), :mod:`~repro.service.scheduler`
 
 from repro.service.leases import Chunk, LeaseJournal, LeaseState, LeaseTable, TrialLedger
 from repro.service.scheduler import CampaignScheduler, serve_forever
-from repro.service.worker import ChunkExecutor, run_worker
+from repro.service.worker import prepare_spec, run_worker
 
 __all__ = [
     "Chunk",
@@ -46,6 +46,6 @@ __all__ = [
     "TrialLedger",
     "CampaignScheduler",
     "serve_forever",
-    "ChunkExecutor",
+    "prepare_spec",
     "run_worker",
 ]

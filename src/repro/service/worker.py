@@ -3,11 +3,12 @@
 Workers are **stateless**: everything needed to execute a chunk rides in
 the grant's ``spec`` — app name plus the full campaign config — and the
 worker re-derives the golden run, the crash points, and the instrumented
-run's snapshot store from it (:class:`ChunkExecutor`).  Determinism does
-the heavy lifting: two workers that build an executor from the same spec
-hold bit-identical snapshot stores, so it never matters *which* worker
-classifies a trial.  Executors are cached per spec, so a worker draining
-many chunks of one shard pays the instrumented run once.
+run's snapshot store from it through the campaign's shared preparation
+stage (:func:`prepare_spec`).  Determinism does the heavy lifting: two
+workers that prepare the same spec hold bit-identical snapshot stores, so
+it never matters *which* worker classifies a trial.  Prepared campaigns
+are cached per spec, so a worker draining many chunks of one shard pays
+the instrumented run once.
 
 Robustness posture:
 
@@ -30,16 +31,16 @@ from __future__ import annotations
 import os
 import socket as socket_mod
 import time
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ServiceError
 from repro.obs.metrics import bump
 from repro.service.protocol import LineReader, config_from_doc, encode
 
 if TYPE_CHECKING:
-    from repro.nvct.campaign import CampaignConfig
+    from repro.nvct.campaign import PreparedCampaign
 
-__all__ = ["ChunkExecutor", "run_worker"]
+__all__ = ["prepare_spec", "run_worker"]
 
 #: How long a worker keeps retrying a dead socket before concluding the
 #: scheduler is gone for good (exit 0: a finished campaign tears the
@@ -52,87 +53,32 @@ DEFAULT_IDLE_TIMEOUT_S = 30.0
 REPLY_TIMEOUT_S = 60.0
 
 
-class ChunkExecutor:
-    """Executable form of one shard's campaign spec.
+def prepare_spec(spec: dict) -> "PreparedCampaign":
+    """Prepare and materialize the campaign a chunk spec describes.
 
-    Building one replays the spec through the exact single-node pipeline
-    ``run_campaign`` uses — golden run, :func:`campaign_points`,
-    instrumented run, snapshot store — so :meth:`run` yields records
-    bit-identical to the serial campaign's, trial index by trial index.
+    Refuses (:class:`ServiceError`) a spec whose campaign key this
+    worker's code derives differently from the scheduler's.
     """
+    from repro.apps.registry import get_factory
+    from repro.harness.cache import campaign_key
+    from repro.nvct.campaign import sample_campaign
 
-    def __init__(
-        self,
-        factory,
-        cfg: "CampaignConfig",
-        golden_iterations: int,
-        store,
-        runtime,
-        trial_timeout: float | None,
-    ):
-        self.factory = factory
-        self.cfg = cfg
-        self.golden_iterations = golden_iterations
-        self.store = store  # golden image store, or None on the legacy path
-        self.runtime = runtime
-        self.trial_timeout = trial_timeout
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "ChunkExecutor":
-        from repro.apps.registry import get_factory
-        from repro.harness.cache import campaign_key
-        from repro.nvct.campaign import _instrumented_run, campaign_points
-
-        try:
-            factory = get_factory(str(spec["app"]))
-        except KeyError as exc:
-            raise ServiceError(f"scheduler leased an unknown app: {exc}") from exc
-        cfg = config_from_doc(spec["cfg"])
-        key = campaign_key(factory, cfg)
-        if key != spec.get("key"):
-            # Version skew: this worker's code would sample or classify
-            # differently than the scheduler's. Refusing here is what
-            # keeps "bit-identical" an invariant rather than a hope.
-            raise ServiceError(
-                f"campaign key mismatch for {factory.name!r}: scheduler has "
-                f"{str(spec.get('key'))[:12]}…, this worker derives "
-                f"{key[:12]}… — mixed package versions? refusing the lease"
-            )
-        golden_result, _ = factory.golden()
-        points, _weights = campaign_points(factory, cfg)
-        use_golden = bool(spec.get("golden"))
-        rt, _iterations = _instrumented_run(factory, cfg, points, golden=use_golden)
-        store = rt.golden_store() if use_golden else None
-        n_snaps = store.n_images if store is not None else len(rt.snapshots)
-        if n_snaps != points.size:
-            raise ServiceError(
-                f"{factory.name}: {points.size} crash points but {n_snaps} snapshots"
-            )
-        return cls(
-            factory,
-            cfg,
-            golden_result.iterations,
-            store,
-            rt,
-            spec.get("trial_timeout"),
+    try:
+        factory = get_factory(str(spec["app"]))
+    except KeyError as exc:
+        raise ServiceError(f"scheduler leased an unknown app: {exc}") from exc
+    cfg = config_from_doc(spec["cfg"])
+    key = campaign_key(factory, cfg)
+    if key != spec.get("key"):
+        # Version skew: this worker's code would sample or classify
+        # differently than the scheduler's. Refusing here is what
+        # keeps "bit-identical" an invariant rather than a hope.
+        raise ServiceError(
+            f"campaign key mismatch for {factory.name!r}: scheduler has "
+            f"{str(spec.get('key'))[:12]}…, this worker derives "
+            f"{key[:12]}… — mixed package versions? refusing the lease"
         )
-
-    def run(self, indices: list[int]) -> Iterator[tuple[int, dict]]:
-        """Classify the chunk's trials, yielding ``(index, record_doc)``."""
-        from repro.nvct.campaign import _classify_trial
-        from repro.nvct.serialize import record_to_dict
-
-        snaps = (
-            self.store.snapshots(indices)
-            if self.store is not None
-            else (self.runtime.snapshots[i] for i in indices)
-        )
-        for i, snap in zip(indices, snaps):
-            rec = _classify_trial(
-                self.factory, snap, self.golden_iterations, self.cfg,
-                self.trial_timeout,
-            )
-            yield i, record_to_dict(rec)
+    return sample_campaign(factory, cfg, golden=bool(spec.get("golden"))).materialize()
 
 
 class _Connection:
@@ -201,7 +147,6 @@ def run_worker(
     breaker=None,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
-    executor_factory: Callable[[dict], ChunkExecutor] = ChunkExecutor.from_spec,
 ) -> int:
     """Drain leases from the scheduler at ``socket_path`` until ``done``.
 
@@ -219,7 +164,7 @@ def run_worker(
     breaker = breaker or CircuitBreaker(threshold=3)
     reg = registry()
     tracer = reg.tracer if reg else None
-    executors: dict[str, ChunkExecutor] = {}
+    prepared: dict[str, "PreparedCampaign"] = {}
     committed = 0
     conn: _Connection | None = None
     try:
@@ -253,9 +198,7 @@ def run_worker(
                     tracer, "service.chunk",
                     chunk=reply.get("chunk"), worker=worker,
                 ):
-                    ok = _execute_chunk(
-                        conn, reply, executors, executor_factory, clock,
-                    )
+                    ok = _execute_chunk(conn, reply, prepared, clock)
             except ServiceError:
                 raise
             except OSError:
@@ -283,12 +226,15 @@ def run_worker(
 def _execute_chunk(
     conn: _Connection,
     grant: dict,
-    executors: dict[str, ChunkExecutor],
-    executor_factory: Callable[[dict], ChunkExecutor],
+    prepared: dict[str, "PreparedCampaign"],
     clock: Callable[[], float],
 ) -> bool:
-    """Run one granted chunk end to end; ``True`` iff the commit was acked."""
+    """Run one granted chunk end to end; ``True`` iff the commit was acked.
+
+    ``prepared`` caches the prepared campaign per spec across chunks.
+    """
     from repro.harness.chaos import injector as chaos_injector
+    from repro.nvct.serialize import record_to_dict
 
     spec = grant["spec"]
     chunk_id = int(grant["chunk"])
@@ -296,13 +242,13 @@ def _execute_chunk(
     indices = [int(i) for i in grant["indices"]]
     deadline_s = float(grant.get("deadline_s", 30.0))
     cache_key = f"{spec.get('key')}#{grant.get('node', 0)}"
-    if cache_key not in executors:
-        executors[cache_key] = executor_factory(spec)
-    executor = executors[cache_key]
+    if cache_key not in prepared:
+        prepared[cache_key] = prepare_spec(spec)
+    prep = prepared[cache_key]
 
     heartbeat_every = max(deadline_s / 3.0, 1e-6)
     last_beat = clock()
-    for index, record_doc in executor.run(indices):
+    for index, rec in prep.classify(indices, spec.get("trial_timeout")):
         ch = chaos_injector()
         if ch is not None:
             # The service.worker death site: a worker dying between two
@@ -311,7 +257,7 @@ def _execute_chunk(
         _send_unreliable(
             conn,
             {"op": "record", "chunk": chunk_id, "token": token,
-             "index": index, "record": record_doc},
+             "index": index, "record": record_to_dict(rec)},
             site="service.record",
         )
         if clock() - last_beat >= heartbeat_every:
@@ -340,10 +286,10 @@ def _execute_chunk(
             return False
         if op == "retry":
             missing = {int(i) for i in reply.get("missing", [])}
-            for index, record_doc in executor.run(sorted(missing)):
+            for index, rec in prep.classify(sorted(missing), spec.get("trial_timeout")):
                 conn.send(
                     {"op": "record", "chunk": chunk_id, "token": token,
-                     "index": index, "record": record_doc}
+                     "index": index, "record": record_to_dict(rec)}
                 )
             continue
         raise ServiceError(f"unexpected commit reply from scheduler: {reply!r}")

@@ -22,7 +22,7 @@ computation carries EasyCrash's runtime overhead ``ts``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -302,8 +302,3 @@ def recomputability_threshold(
         else:
             lo = mid
     return hi
-
-
-def with_mtbf(p: SystemParams, mtbf_s: float) -> SystemParams:
-    """Convenience: the same scenario at a different MTBF."""
-    return replace(p, mtbf_s=mtbf_s)

@@ -1,11 +1,15 @@
 """Parallel campaign engine: determinism, chunking, fallback paths."""
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from repro.apps.base import AppFactory, Application
 from repro.apps.registry import get_factory
-from repro.nvct.campaign import CampaignConfig, run_campaign
+from repro.nvct.campaign import CampaignConfig, run_campaign, sample_campaign
 from repro.nvct.parallel import (
     chunk_indices,
     classify_snapshots,
@@ -68,24 +72,22 @@ def test_parallel_engine_timeout_falls_back_serially():
     assert serial.records == degraded.records
 
 
+def _prepared(n_tests: int, golden: bool):
+    cfg = CampaignConfig(n_tests=n_tests, seed=5, plan=PersistencePlan.none())
+    return sample_campaign(get_factory("EP"), cfg, golden=golden).materialize()
+
+
 def test_classify_snapshots_matches_inline_classification():
     from repro.nvct.campaign import _classify
 
-    factory = get_factory("EP")
-    golden, _ = factory.golden()
-    counting = CountingRuntime()
-    factory.make(runtime=counting).run()
-    points = np.linspace(
-        (counting.window_begin or 0) + 1, counting.counter, 6, dtype=np.int64
-    )
-    cfg = CampaignConfig(plan=PersistencePlan.none())
-    rt = Runtime(plan=cfg.plan, crash_points=points)
-    factory.make(runtime=rt).run()
-    inline = [_classify(factory, s, golden.iterations, cfg) for s in rt.snapshots]
-    fanned = classify_snapshots(
-        factory, rt.snapshots, golden.iterations, cfg, jobs=2
-    )
-    assert inline == fanned
+    for golden in (True, False):
+        prep = _prepared(6, golden)
+        indices = list(range(prep.n_snaps))
+        inline = [
+            _classify(prep.factory, s, prep.golden_iterations, prep.cfg)
+            for s in prep.snapshots(indices)
+        ]
+        assert inline == classify_snapshots(prep, indices, jobs=2)
 
 
 def test_snapshot_pack_roundtrip(no_chaos):
@@ -107,29 +109,20 @@ def test_snapshot_pack_roundtrip(no_chaos):
 def test_record_sink_sees_every_record_exactly_once():
     from repro.nvct.campaign import _classify
 
-    factory = get_factory("EP")
-    golden, _ = factory.golden()
-    counting = CountingRuntime()
-    factory.make(runtime=counting).run()
-    points = np.linspace(
-        (counting.window_begin or 0) + 1, counting.counter, 8, dtype=np.int64
-    )
-    cfg = CampaignConfig(plan=PersistencePlan.none())
-    rt = Runtime(plan=cfg.plan, crash_points=points)
-    factory.make(runtime=rt).run()
+    prep = _prepared(8, golden=False)
+    indices = [1, 2, 4, 5, 7]  # sink keys are trial indices, not positions
     sunk: dict[int, object] = {}
 
     def sink(index, record):
         assert index not in sunk  # exactly once per trial
         sunk[index] = record
 
-    fanned = classify_snapshots(
-        factory, rt.snapshots, golden.iterations, cfg, jobs=2, record_sink=sink
-    )
-    assert sorted(sunk) == list(range(len(rt.snapshots)))
-    assert [sunk[i] for i in range(len(rt.snapshots))] == fanned
+    fanned = classify_snapshots(prep, indices, jobs=2, record_sink=sink)
+    assert sorted(sunk) == indices
+    assert [sunk[i] for i in indices] == fanned
     assert fanned == [
-        _classify(factory, s, golden.iterations, cfg) for s in rt.snapshots
+        _classify(prep.factory, s, prep.golden_iterations, prep.cfg)
+        for s in prep.snapshots(indices)
     ]
 
 
@@ -208,3 +201,53 @@ def test_run_campaigns_unpicklable_factory_falls_back():
     expected = run_campaign(AppFactory(Hidden, nit=4), cfg, jobs=1)
     for r in results:
         assert r.records == expected.records
+
+
+def _sigterm_probe_trial(factory, snap, golden_iterations, cfg, trial_timeout=None):
+    """Stands in for a classification: reports the SIGTERM disposition of
+    the process that ran it."""
+    from repro.nvct.campaign import CrashTestRecord, Response
+
+    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    return CrashTestRecord(
+        snap.counter, snap.iteration, snap.region, {}, Response.S1,
+        error=f"{os.getpid()} {default}",
+    )
+
+
+def _sigterm_probe_campaign(factory, cfg, jobs=None):
+    return os.getpid(), signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "SIGTERM") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs POSIX signals and forked pools",
+)
+def test_forked_pool_workers_reset_the_cli_sigterm_handler(monkeypatch):
+    """The CLI's SIGTERM handler raises KeyboardInterrupt.  Pool workers
+    forked under it must not keep it: Pool.terminate stops them with
+    SIGTERM, and an inherited handler prints a traceback per worker and
+    can hang the shutdown."""
+    from repro import cli
+    from repro.nvct import campaign
+
+    prep = _prepared(6, golden=True)
+    previous = signal.getsignal(signal.SIGTERM)
+    cli._install_sigterm_handler()
+    try:
+        assert signal.getsignal(signal.SIGTERM) != signal.SIG_DFL
+        monkeypatch.setattr(campaign, "_classify_trial", _sigterm_probe_trial)
+        records = classify_snapshots(prep, list(range(prep.n_snaps)), jobs=2)
+        monkeypatch.setattr(campaign, "run_campaign", _sigterm_probe_campaign)
+        specs = [
+            (get_factory("EP"), CampaignConfig(n_tests=2)),
+            (get_factory("kmeans"), CampaignConfig(n_tests=2)),
+        ]
+        campaigns = run_campaigns(specs, jobs=2)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    parent = os.getpid()
+    probes = [r.error.split() for r in records]
+    assert probes and all(int(pid) != parent for pid, _ in probes)
+    assert all(default == "True" for _, default in probes)
+    assert campaigns and all(pid != parent and default for pid, default in campaigns)

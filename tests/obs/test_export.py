@@ -228,3 +228,15 @@ def test_bench_json_on_disk_is_pretty_and_newline_terminated(tmp_path):
     doc = json.loads(text)
     assert doc["payload"] == [rec("x", 1.0)]
     assert "payload_crc32" in doc["__repro_store__"]
+
+
+def test_diff_counts_gated_metrics_in_common():
+    base = [rec("campaign.throughput", 100.0), rec("campaign.tests", 9, unit="tests")]
+    assert diff_bench(base, base).n_gated == 1
+    assert diff_bench(base, base).exit_code == 0
+    nothing = diff_bench([rec("campaign.tests", 9, unit="tests")], base)
+    assert nothing.ok and nothing.n_gated == 0
+    assert nothing.exit_code == 2
+    regressed = BenchDiff(threshold=0.15, calibration_ratio=None, regressions=["x"])
+    assert regressed.exit_code == 1
+    assert "NOTHING GATED" in render_diff(nothing)

@@ -176,3 +176,20 @@ def test_committed_baseline_is_valid():
     raw = baseline.read_text(encoding="utf-8")
     assert json.loads(raw)  # plain JSON, no trailing junk
     assert raw.endswith("\n") and not raw.endswith("\n\n")
+
+
+def test_checker_nothing_gated_exit_2(tmp_path):
+    """Documents that share no gated metric compare nothing: a failure,
+    never an `OK`."""
+    base = write_bench(tmp_path / "base.json", [rec("campaign.throughput", 100.0)])
+    cur = write_bench(tmp_path / "cur.json", [rec("sim.throughput", 5.0, unit="blocks/s")])
+    proc = run_checker(cur, base)
+    assert proc.returncode == 2
+    assert "NOTHING GATED" in proc.stdout and "OK" not in proc.stdout
+
+
+def test_stats_diff_nothing_gated_exits_2(tmp_path, capsys):
+    base = write_bench(tmp_path / "base.json", [rec("campaign.tests", 9, unit="tests")])
+    code, out = run_cli(capsys, "stats", str(base), str(base), "--diff")
+    assert code == 2
+    assert "NOTHING GATED" in out

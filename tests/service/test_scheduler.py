@@ -12,7 +12,8 @@ from repro.errors import JournalError, UsageError
 from repro.harness import chaos
 from repro.nvct.campaign import CampaignConfig
 from repro.nvct.journal import scan_journal
-from repro.service import CampaignScheduler, ChunkExecutor
+from repro.nvct.serialize import record_to_dict
+from repro.service import CampaignScheduler, prepare_spec
 
 FACTORY = get_factory("EP")
 CFG = CampaignConfig(n_tests=8, seed=2)
@@ -40,8 +41,8 @@ def record_docs(tmp_path_factory):
     spec = sched.shards[0].spec
     n_snaps = sched.shards[0].n_snaps
     sched.close()
-    executor = ChunkExecutor.from_spec(spec)
-    return dict(executor.run(list(range(n_snaps))))
+    prep = prepare_spec(spec)
+    return {i: record_to_dict(rec) for i, rec in prep.classify(range(n_snaps))}
 
 
 def _stream(sched, grant, record_docs, indices=None):

@@ -7,7 +7,9 @@ Usage::
 
 Exit codes: ``0`` no gated metric regressed, ``1`` at least one rate
 metric (unit ``*/s``) dropped more than ``threshold`` below the
-baseline after calibration normalization, ``2`` unusable input.
+baseline after calibration normalization, ``2`` unusable input — which
+includes two documents with no gated metric in common, since such a
+comparison checks nothing.
 
 The comparison logic lives in :func:`repro.obs.export.diff_bench` (also
 reachable as ``repro stats --diff``); this wrapper only adds the
@@ -47,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     diff = diff_bench(current, baseline, threshold=args.threshold)
     print(render_diff(diff))
-    return 0 if diff.ok else 1
+    return diff.exit_code
 
 
 if __name__ == "__main__":
